@@ -1,48 +1,8 @@
 #include "core/result_codec.hpp"
 
-#include <cstring>
-
 #include "common/check.hpp"
 
 namespace gpawfd::core {
-
-// ---- little-endian primitives -----------------------------------------
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void append_double(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  append_u64(out, bits);
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-double read_double(const std::uint8_t* p) {
-  const std::uint64_t bits = read_u64(p);
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
 
 // ---- SimResult codec ---------------------------------------------------
 

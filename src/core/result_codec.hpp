@@ -1,27 +1,30 @@
-// Fixed-width binary codec for core::SimResult plus the little-endian
-// primitives it is built from. One implementation shared by every layer
-// that serializes results — the RPC wire format (src/net/frame) and the
-// persistent result store (src/svc/cache_store) — so a result that
-// crosses the wire and a result recovered from disk are byte-identical
-// by construction: 12 little-endian 8-byte fields, doubles stored as
-// their IEEE-754 bit images, so encoding round-trips to the last bit.
+// Fixed-width binary codec for core::SimResult. One implementation
+// shared by every layer that serializes results — the RPC wire format
+// (src/net/frame) and the persistent result store (src/svc/cache_store)
+// — so a result that crosses the wire and a result recovered from disk
+// are byte-identical by construction: 12 little-endian 8-byte fields,
+// doubles stored as their IEEE-754 bit images, so encoding round-trips
+// to the last bit.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/sim_executor.hpp"
 
 namespace gpawfd::core {
 
 // ---- little-endian primitives -----------------------------------------
+// One implementation in common/bytes.hpp, re-exported so codec users
+// keep reading as core:: throughout.
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-void append_double(std::vector<std::uint8_t>& out, double v);
-std::uint32_t read_u32(const std::uint8_t* p);
-std::uint64_t read_u64(const std::uint8_t* p);
-double read_double(const std::uint8_t* p);
+using gpawfd::append_u32;
+using gpawfd::append_u64;
+using gpawfd::append_double;
+using gpawfd::read_u32;
+using gpawfd::read_u64;
+using gpawfd::read_double;
 
 // ---- SimResult codec ---------------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <string>
 
 namespace gpawfd::mp {
 
@@ -78,13 +79,19 @@ Request ThreadComm::isend(std::span<const std::byte> buf, int dst, int tag) {
                            return p.src == rank_ && p.tag == tag;
                          });
   if (it != box.pending.end()) {
-    GPAWFD_CHECK_MSG(it->state->recv_buf.size() >= env.payload.size(),
-                     "receive buffer too small: " << it->state->recv_buf.size()
-                                                  << " < "
-                                                  << env.payload.size());
-    std::memcpy(it->state->recv_buf.data(), env.payload.data(),
-                env.payload.size());
-    it->state->done.store(true, std::memory_order_release);
+    // A too-small buffer fails the *receive*, as MPI's truncation error
+    // does: the posted request completes with an error that its wait()
+    // throws, rather than staying pending with nobody left to finish it.
+    ReqState& recv = *it->state;
+    if (recv.recv_buf.size() >= env.payload.size()) {
+      std::memcpy(recv.recv_buf.data(), env.payload.data(),
+                  env.payload.size());
+    } else {
+      recv.error = "receive buffer too small: " +
+                   std::to_string(recv.recv_buf.size()) + " < " +
+                   std::to_string(env.payload.size());
+    }
+    recv.done.store(true, std::memory_order_release);
     box.pending.erase(it);
     lock.unlock();
     box.cv.notify_all();
@@ -130,10 +137,13 @@ Request ThreadComm::irecv(std::span<std::byte> buf, int src, int tag) {
 void ThreadComm::wait(Request& req) {
   if (!req.valid()) return;
   ReqState* s = req.state();
-  if (s->done.load(std::memory_order_acquire)) return;
-  GPAWFD_CHECK(s->mu != nullptr);
-  std::unique_lock lock(*s->mu);
-  s->cv->wait(lock, [&] { return s->done.load(std::memory_order_acquire); });
+  if (!s->done.load(std::memory_order_acquire)) {
+    GPAWFD_CHECK(s->mu != nullptr);
+    std::unique_lock lock(*s->mu);
+    s->cv->wait(lock,
+                [&] { return s->done.load(std::memory_order_acquire); });
+  }
+  if (!s->error.empty()) throw Error(s->error);
 }
 
 }  // namespace gpawfd::mp

@@ -9,6 +9,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@ struct ReqState {
   std::condition_variable* cv = nullptr; // owning mailbox cv
   std::atomic<bool> done{false};
   std::span<std::byte> recv_buf;  // valid for pending receives
+  std::string error;  // set before `done` when the receive failed
 };
 
 struct Envelope {

@@ -52,8 +52,8 @@ struct Frame {
 };
 
 // ---- little-endian primitives -----------------------------------------
-// One implementation in core/result_codec.hpp, shared with the
-// persistent cache store; re-exported here so wire code keeps reading
+// One implementation in common/bytes.hpp, shared with the result codec
+// and the record log; re-exported here so wire code keeps reading
 // as net:: throughout.
 
 using core::append_u32;

@@ -1,550 +1,217 @@
 #include "svc/cache_store.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/hash.hpp"
 #include "svc/metrics.hpp"
 
 namespace gpawfd::svc {
 
 namespace {
 
-/// Offset of the CRC field inside the header: the CRC covers everything
-/// before it (plus key and value), never itself.
-constexpr std::size_t kCrcOffset = kStoreHeaderBytes - 4;
-
-void write_all(int fd, const std::uint8_t* p, std::size_t n,
-               std::uint64_t offset) {
-  while (n > 0) {
-    ssize_t w = ::pwrite(fd, p, n, static_cast<off_t>(offset));
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      GPAWFD_CHECK_MSG(false, "cache store write failed: "
-                                  << std::strerror(errno));
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-    offset += static_cast<std::uint64_t>(w);
-  }
+bool store_type_ok(std::uint8_t type) {
+  return type == static_cast<std::uint8_t>(RecordType::kPut) ||
+         type == static_cast<std::uint8_t>(RecordType::kTombstone);
 }
 
-/// Durability of a rename needs the *directory* entry flushed too;
-/// best-effort (not every filesystem lets you fsync a directory).
-void sync_parent_dir(const std::string& path) {
-  auto slash = path.rfind('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+/// key + value bytes: a non-empty key within the sanity cap, and the
+/// exact value size the type carries.
+std::optional<std::size_t> store_payload_bytes(const std::uint8_t* header) {
+  const std::uint32_t key_len = core::read_u32(header + 32);
+  const std::uint32_t value_len = core::read_u32(header + 36);
+  if (key_len == 0 || key_len > kStoreMaxKeyBytes) return std::nullopt;
+  const std::size_t want_value =
+      header[5] == static_cast<std::uint8_t>(RecordType::kPut)
+          ? core::kSimResultCodecBytes
+          : 0;
+  if (value_len != want_value) return std::nullopt;
+  return std::size_t{key_len} + value_len;
+}
+
+constexpr RecordFormat kStoreFormat{"cache store", kStoreMagic, kStoreVersion,
+                                    store_type_ok, store_payload_bytes};
+
+std::string key_of(const RecordLog::Record& r) {
+  return {reinterpret_cast<const char*>(r.payload),
+          core::read_u32(r.header + 32)};
 }
 
 }  // namespace
 
-std::string CacheStore::path_in(const std::string& dir) {
-  if (dir.empty() || dir.back() == '/') return dir + kFileName;
-  return dir + "/" + kFileName;
-}
+CacheStore::CacheStore(std::string path)
+    : log_(std::move(path), kStoreFormat) {}
 
-CacheStore::CacheStore(std::string path) : path_(std::move(path)) {
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  GPAWFD_CHECK_MSG(fd_ >= 0, "cannot open cache store " << path_ << ": "
-                                                        << std::strerror(errno));
-}
-
-CacheStore::~CacheStore() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-std::vector<std::uint8_t> CacheStore::encode_record(
-    RecordType type, std::uint64_t sequence, double write_time,
-    double cost_seconds, const std::string& key, const std::uint8_t* value,
-    std::size_t value_len) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kStoreHeaderBytes + key.size() + value_len);
-  core::append_u32(out, kStoreMagic);
-  out.push_back(kStoreVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(0);  // reserved
-  out.push_back(0);
-  core::append_u64(out, sequence);
-  core::append_double(out, write_time);
-  core::append_double(out, cost_seconds);
-  core::append_u32(out, static_cast<std::uint32_t>(key.size()));
-  core::append_u32(out, static_cast<std::uint32_t>(value_len));
-  std::uint32_t crc = crc32(out.data(), kCrcOffset);
-  crc = crc32(key.data(), key.size(), crc);
-  crc = crc32(value, value_len, crc);
-  core::append_u32(out, crc);
-  out.insert(out.end(), key.begin(), key.end());
-  out.insert(out.end(), value, value + value_len);
-  return out;
-}
-
-std::uint64_t CacheStore::append_record(RecordType type,
-                                        const std::string& key,
-                                        const std::uint8_t* value,
-                                        std::size_t value_len,
-                                        double cost_seconds,
-                                        double write_time) {
-  GPAWFD_CHECK_MSG(recovered_,
-                   "CacheStore::recover() must run before appends");
-  GPAWFD_CHECK_MSG(!key.empty() && key.size() <= kStoreMaxKeyBytes,
-                   "cache store key size " << key.size() << " out of range");
-  const std::uint64_t seq = next_sequence_;
-  std::vector<std::uint8_t> buf = encode_record(
-      type, seq, write_time, cost_seconds, key, value, value_len);
-  write_all(fd_, buf.data(), buf.size(), end_offset_);
-  end_offset_ += buf.size();
-  next_sequence_ = seq + 1;
-  ++total_records_;
-  note_applied(type, key, seq);
-  return end_offset_;
+std::uint64_t CacheStore::append(RecordType type,
+                                 std::span<const StorePut> records) {
+  const std::uint64_t first = log_.next_sequence();
+  std::vector<std::uint8_t> buf;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const StorePut& p = records[i];
+    GPAWFD_CHECK_MSG(!p.key.empty() && p.key.size() <= kStoreMaxKeyBytes,
+                     "cache store key size " << p.key.size()
+                                             << " out of range");
+    const std::size_t start =
+        log_.begin_record(buf, static_cast<std::uint8_t>(type), first + i);
+    core::append_double(buf, p.write_time);
+    core::append_double(buf, p.cost_seconds);
+    core::append_u32(buf, static_cast<std::uint32_t>(p.key.size()));
+    core::append_u32(buf, static_cast<std::uint32_t>(p.value.size()));
+    log_.end_record(buf, start, {byte_span(p.key), p.value});
+  }
+  log_.append(buf, static_cast<std::int64_t>(records.size()));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (type == RecordType::kPut)
+      live_[records[i].key] = first + i;
+    else
+      live_.erase(records[i].key);
+  }
+  return log_.end();
 }
 
 std::uint64_t CacheStore::append_put(const std::string& key,
                                      const core::SimResult& result,
                                      double cost_seconds, double write_time) {
-  std::vector<std::uint8_t> value = core::encode_sim_result(result);
-  return append_record(RecordType::kPut, key, value.data(), value.size(),
-                       cost_seconds, write_time);
+  const StorePut put{key, core::encode_sim_result(result), cost_seconds,
+                     write_time};
+  return append(RecordType::kPut, {&put, 1});
 }
 
 std::uint64_t CacheStore::append_tombstone(const std::string& key,
                                            double write_time) {
-  return append_record(RecordType::kTombstone, key, nullptr, 0, 0.0,
-                       write_time);
+  const StorePut tombstone{key, {}, 0.0, write_time};
+  return append(RecordType::kTombstone, {&tombstone, 1});
 }
 
 std::uint64_t CacheStore::append_puts(const std::vector<StorePut>& puts) {
-  GPAWFD_CHECK_MSG(recovered_,
-                   "CacheStore::recover() must run before appends");
-  if (puts.empty()) return end_offset_;
-  std::vector<std::uint8_t> buf;
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(puts.size());
-  for (const StorePut& p : puts) {
-    GPAWFD_CHECK_MSG(!p.key.empty() && p.key.size() <= kStoreMaxKeyBytes,
-                     "cache store key size " << p.key.size()
-                                             << " out of range");
-    seqs.push_back(next_sequence_);
-    const std::vector<std::uint8_t> rec = encode_record(
-        RecordType::kPut, next_sequence_, p.write_time, p.cost_seconds,
-        p.key, p.value.data(), p.value.size());
-    buf.insert(buf.end(), rec.begin(), rec.end());
-    ++next_sequence_;
-  }
-  write_all(fd_, buf.data(), buf.size(), end_offset_);
-  end_offset_ += buf.size();
-  for (std::size_t i = 0; i < puts.size(); ++i) {
-    ++total_records_;
-    note_applied(RecordType::kPut, puts[i].key, seqs[i]);
-  }
-  return end_offset_;
-}
-
-void CacheStore::sync() {
-  GPAWFD_CHECK_MSG(::fsync(fd_) == 0,
-                   "cache store fsync failed: " << std::strerror(errno));
-}
-
-void CacheStore::note_applied(RecordType type, const std::string& key,
-                              std::uint64_t sequence) {
-  if (type == RecordType::kPut)
-    live_[key] = sequence;
-  else
-    live_.erase(key);
+  return append(RecordType::kPut, puts);
 }
 
 std::uint64_t CacheStore::recover_stream(
     const std::function<void(RawStoreRecord&&)>& emit, RecoveryStats* stats,
     bool repair) {
-  struct stat st;
-  GPAWFD_CHECK_MSG(::fstat(fd_, &st) == 0,
-                   "cache store fstat failed: " << std::strerror(errno));
-  const std::uint64_t file_size = static_cast<std::uint64_t>(st.st_size);
-
-  // Chunked forward scan: a bounded window streams through the file so
-  // records reach `emit` while later chunks are still unread (the
-  // producer half of the startup double buffer). Accept records until
-  // the first one that fails any structural or integrity check, then
-  // stop — nothing past a bad record can be trusted (its length fields
-  // might be the corruption).
-  constexpr std::size_t kChunkBytes = 256 * 1024;
-  std::vector<std::uint8_t> buf;
-  std::size_t start = 0;        // parse cursor within buf
-  std::uint64_t file_pos = 0;   // next byte to pread
-  std::uint64_t valid_end = 0;  // offset just past the last good record
-  bool eof = false;
-  bool short_read = false;  // concurrently truncated under us
-
-  // Ensure `need` unparsed bytes are buffered; false on (effective) EOF.
-  auto refill = [&](std::size_t need) {
-    while (!eof && buf.size() - start < need) {
-      if (start > 0) {
-        buf.erase(buf.begin(),
-                  buf.begin() + static_cast<std::ptrdiff_t>(start));
-        start = 0;
-      }
-      if (file_pos >= file_size) {
-        eof = true;
-        break;
-      }
-      const std::size_t want = std::max(kChunkBytes, need);
-      const std::size_t to_read = static_cast<std::size_t>(
-          std::min<std::uint64_t>(want, file_size - file_pos));
-      const std::size_t old = buf.size();
-      buf.resize(old + to_read);
-      std::size_t got = 0;
-      while (got < to_read) {
-        ssize_t r = ::pread(fd_, buf.data() + old + got, to_read - got,
-                            static_cast<off_t>(file_pos + got));
-        if (r < 0 && errno == EINTR) continue;
-        GPAWFD_CHECK_MSG(r >= 0,
-                         "cache store read failed: " << std::strerror(errno));
-        if (r == 0) {  // concurrently truncated; treat the rest as torn
-          eof = short_read = true;
-          break;
-        }
-        got += static_cast<std::size_t>(r);
-      }
-      buf.resize(old + got);
-      file_pos += got;
-      if (file_pos >= file_size) eof = true;
-    }
-    return buf.size() - start >= need;
-  };
-
-  std::int64_t scanned = 0, puts = 0, tombstones = 0;
-  std::uint64_t last_seq = 0;
+  std::int64_t puts = 0, tombstones = 0;
   std::unordered_map<std::string, std::uint64_t> live;
-  for (;;) {
-    if (!refill(kStoreHeaderBytes)) break;
-    const std::uint8_t* h = buf.data() + start;
-    if (core::read_u32(h) != kStoreMagic) break;
-    if (h[4] != kStoreVersion) break;
-    const std::uint8_t type_byte = h[5];
-    if (type_byte != static_cast<std::uint8_t>(RecordType::kPut) &&
-        type_byte != static_cast<std::uint8_t>(RecordType::kTombstone))
-      break;
-    const std::uint64_t seq = core::read_u64(h + 8);
-    const double write_time = core::read_double(h + 16);
-    const double cost_seconds = core::read_double(h + 24);
-    const std::uint32_t key_len = core::read_u32(h + 32);
-    const std::uint32_t value_len = core::read_u32(h + 36);
-    if (key_len == 0 || key_len > kStoreMaxKeyBytes) break;
-    const auto type = static_cast<RecordType>(type_byte);
-    const std::size_t want_value =
-        type == RecordType::kPut ? core::kSimResultCodecBytes : 0;
-    if (value_len != want_value) break;
-    const std::size_t total = kStoreHeaderBytes + key_len + value_len;
-    if (!refill(total)) break;  // torn tail: record extends past EOF
-    h = buf.data() + start;     // refill may have compacted/reallocated
-    std::uint32_t crc = crc32(h, kCrcOffset);
-    crc = crc32(h + kStoreHeaderBytes, key_len + value_len, crc);
-    if (crc != core::read_u32(h + kCrcOffset)) break;
-    if (seq <= last_seq) break;  // sequences are strictly increasing
-
-    RawStoreRecord rec;
-    rec.key.assign(reinterpret_cast<const char*>(h + kStoreHeaderBytes),
-                   key_len);
-    if (type == RecordType::kPut) {
-      rec.value.assign(h + kStoreHeaderBytes + key_len,
-                       h + kStoreHeaderBytes + key_len + value_len);
-      live[rec.key] = seq;
-      ++puts;
-    } else {
-      live.erase(rec.key);
-      ++tombstones;
-    }
-    rec.cost_seconds = cost_seconds;
-    rec.write_time = write_time;
-    rec.sequence = seq;
-    rec.type = type;
-    emit(std::move(rec));
-    ++scanned;
-    last_seq = seq;
-    start += total;
-    valid_end += total;
-  }
-
-  const std::uint64_t avail = short_read ? file_pos : file_size;
+  const RecordLog::ScanStats scan = log_.scan(
+      [&](const RecordLog::Record& r) {
+        RawStoreRecord rec;
+        rec.key = key_of(r);
+        rec.type = static_cast<RecordType>(r.type);
+        if (rec.type == RecordType::kPut) {
+          rec.value.assign(r.payload + rec.key.size(),
+                           r.payload + r.payload_bytes);
+          live[rec.key] = r.sequence;
+          ++puts;
+        } else {
+          live.erase(rec.key);
+          ++tombstones;
+        }
+        rec.write_time = core::read_double(r.header + 16);
+        rec.cost_seconds = core::read_double(r.header + 24);
+        rec.sequence = r.sequence;
+        emit(std::move(rec));
+      },
+      repair);
   if (stats) {
-    stats->records_scanned = scanned;
+    stats->records_scanned = scan.records;
     stats->puts = puts;
     stats->tombstones = tombstones;
     stats->live = static_cast<std::int64_t>(live.size());
-    stats->truncated_bytes = static_cast<std::int64_t>(avail - valid_end);
-    stats->truncated = avail != valid_end;
+    stats->truncated_bytes = scan.truncated_bytes;
+    stats->truncated = scan.truncated_bytes != 0;
   }
-
-  // Establish (or re-establish) the writer state from the valid prefix.
   live_ = std::move(live);
-  total_records_ = scanned;
-  next_sequence_ = last_seq + 1;
-  end_offset_ = valid_end;
-  recovered_ = true;
-
-  if (repair && valid_end < file_size) {
-    GPAWFD_CHECK_MSG(::ftruncate(fd_, static_cast<off_t>(valid_end)) == 0,
-                     "cache store truncate failed: " << std::strerror(errno));
-    sync();
-  }
-  return valid_end;
+  return log_.end();
 }
 
 std::vector<StoreRecord> CacheStore::recover(RecoveryStats* stats,
                                              bool repair) {
-  std::vector<StoreRecord> accepted;
+  std::vector<StoreRecord> live;
   recover_stream(
       [&](RawStoreRecord&& raw) {
+        if (raw.type != RecordType::kPut) return;
         StoreRecord rec;
         rec.key = std::move(raw.key);
-        if (raw.type == RecordType::kPut)
-          rec.result =
-              core::decode_sim_result(raw.value.data(), raw.value.size());
+        rec.result =
+            core::decode_sim_result(raw.value.data(), raw.value.size());
         rec.cost_seconds = raw.cost_seconds;
         rec.write_time = raw.write_time;
         rec.sequence = raw.sequence;
-        rec.type = raw.type;
-        accepted.push_back(std::move(rec));
+        live.push_back(std::move(rec));
       },
       stats, repair);
-
-  // Replay in sequence order: a later put supersedes an earlier one, a
-  // tombstone deletes. The survivors are the live set.
-  std::unordered_map<std::string, std::size_t> live_idx;
-  for (std::size_t i = 0; i < accepted.size(); ++i) {
-    if (accepted[i].type == RecordType::kPut)
-      live_idx[accepted[i].key] = i;
-    else
-      live_idx.erase(accepted[i].key);
-  }
-  std::vector<std::size_t> order;
-  order.reserve(live_idx.size());
-  for (const auto& [key, idx] : live_idx) order.push_back(idx);
-  std::sort(order.begin(), order.end());
-
-  std::vector<StoreRecord> live;
-  live.reserve(order.size());
-  for (std::size_t idx : order) live.push_back(std::move(accepted[idx]));
+  // The scan left each key's surviving put (by sequence) in live_: later
+  // puts supersede earlier ones and tombstones delete. Log order stays.
+  std::erase_if(live, [&](const StoreRecord& rec) {
+    const auto it = live_.find(rec.key);
+    return it == live_.end() || it->second != rec.sequence;
+  });
   return live;
 }
 
 double CacheStore::garbage_ratio() const {
-  if (total_records_ <= 0) return 0.0;
-  const std::int64_t garbage = total_records_ - live_records();
-  return static_cast<double>(garbage) / static_cast<double>(total_records_);
+  if (total_records() <= 0) return 0.0;
+  const std::int64_t garbage = total_records() - live_records();
+  return static_cast<double>(garbage) / static_cast<double>(total_records());
 }
 
 bool CacheStore::maybe_compact(double garbage_threshold,
                                std::int64_t min_records) {
-  if (total_records_ < min_records) return false;
+  if (total_records() < min_records) return false;
   if (garbage_ratio() <= garbage_threshold) return false;
   return compact();
 }
 
 bool CacheStore::compact() {
-  GPAWFD_CHECK_MSG(recovered_,
-                   "CacheStore::recover() must run before compact()");
-  // Re-read the live set from disk (the in-memory index only holds keys
-  // and sequences, not values). The file is ours alone here: the
-  // persister thread is the only writer and it is the caller.
-  std::vector<StoreRecord> live = recover(nullptr, /*repair=*/false);
-  const std::uint64_t keep_next_seq = next_sequence_;
-
-  const std::string tmp = path_ + ".compact";
-  int tfd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                   0644);
-  GPAWFD_CHECK_MSG(tfd >= 0, "cannot open " << tmp << ": "
-                                            << std::strerror(errno));
-  std::uint64_t offset = 0;
-  for (const StoreRecord& rec : live) {
-    std::vector<std::uint8_t> value = core::encode_sim_result(rec.result);
-    std::vector<std::uint8_t> buf =
-        encode_record(RecordType::kPut, rec.sequence, rec.write_time,
-                      rec.cost_seconds, rec.key, value.data(), value.size());
-    write_all(tfd, buf.data(), buf.size(), offset);
-    offset += buf.size();
-  }
-  GPAWFD_CHECK_MSG(::fsync(tfd) == 0,
-                   "compaction fsync failed: " << std::strerror(errno));
-  ::close(tfd);
-  GPAWFD_CHECK_MSG(::rename(tmp.c_str(), path_.c_str()) == 0,
-                   "compaction rename failed: " << std::strerror(errno));
-  sync_parent_dir(path_);
-
-  ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
-  GPAWFD_CHECK_MSG(fd_ >= 0, "cannot reopen compacted store " << path_ << ": "
-                                                              << std::strerror(
-                                                                     errno));
-  live_.clear();
-  for (const StoreRecord& rec : live) live_[rec.key] = rec.sequence;
-  total_records_ = static_cast<std::int64_t>(live.size());
-  next_sequence_ = keep_next_seq;  // never reuse a sequence number
-  end_offset_ = offset;
+  // The live index names each key's surviving put by sequence, so the
+  // rewrite keeps exactly those records, in log order.
+  log_.rewrite([&](const RecordLog::Record& r) {
+    if (r.type != static_cast<std::uint8_t>(RecordType::kPut)) return false;
+    const auto it = live_.find(key_of(r));
+    return it != live_.end() && it->second == r.sequence;
+  });
   ++compactions_;
   return true;
 }
 
 // ---- Persister ----------------------------------------------------------
 
+namespace {
+
+WriteBehindLedger persist_ledger(Metrics* m) {
+  if (m == nullptr) return {};
+  return {&m->persist_enqueued, &m->persist_written, &m->persist_dropped,
+          &m->persist_flushes, &m->persist_compactions};
+}
+
+}  // namespace
+
 Persister::Persister(std::unique_ptr<CacheStore> store,
                      PersisterConfig config, Metrics* metrics,
                      bool store_ready)
     : store_(std::move(store)),
       config_(std::move(config)),
-      metrics_(metrics),
-      ready_(store_ready) {
+      queue_(
+          config_.queue_capacity,
+          [this](std::vector<Write>& batch) {
+            std::vector<CacheStore::StorePut> puts;
+            puts.reserve(batch.size());
+            for (Write& w : batch) {
+              if (config_.on_write) config_.on_write(w.key);
+              puts.push_back({std::move(w.key),
+                              core::encode_sim_result(w.result),
+                              w.cost_seconds, w.write_time});
+            }
+            store_->append_puts(puts);
+          },
+          [this] {
+            store_->sync();
+            return config_.compact_garbage_threshold > 0 &&
+                   store_->maybe_compact(config_.compact_garbage_threshold,
+                                         config_.compact_min_records);
+          },
+          persist_ledger(metrics), store_ready) {
   GPAWFD_CHECK(store_ != nullptr);
-  GPAWFD_CHECK(config_.queue_capacity >= 1);
-  thread_ = std::thread(&Persister::loop, this);
-}
-
-void Persister::mark_ready() {
-  {
-    std::lock_guard lock(mu_);
-    ready_ = true;
-  }
-  cv_.notify_all();
-}
-
-Persister::~Persister() { shutdown(); }
-
-void Persister::enqueue(std::string key, const core::SimResult& result,
-                        double cost_seconds, double write_time) {
-  std::lock_guard lock(mu_);
-  enqueued_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_)
-    metrics_->persist_enqueued.fetch_add(1, std::memory_order_relaxed);
-  // After shutdown (or when bumping the oldest out of a full queue) the
-  // entry is dropped, keeping enqueued == written + dropped exact.
-  if (closed_ || queue_.size() >= config_.queue_capacity) {
-    if (!closed_) queue_.pop_front();
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_)
-      metrics_->persist_dropped.fetch_add(1, std::memory_order_relaxed);
-    if (closed_) return;
-  }
-  queue_.push_back(Write{std::move(key), result, cost_seconds, write_time});
-  cv_.notify_one();
-}
-
-void Persister::enqueue_batch(std::vector<Write> writes) {
-  if (writes.empty()) return;
-  bool accepted_any = false;
-  {
-    std::lock_guard lock(mu_);
-    const auto n = static_cast<std::int64_t>(writes.size());
-    enqueued_.fetch_add(n, std::memory_order_relaxed);
-    if (metrics_)
-      metrics_->persist_enqueued.fetch_add(n, std::memory_order_relaxed);
-    for (Write& w : writes) {
-      if (closed_ || queue_.size() >= config_.queue_capacity) {
-        if (!closed_) queue_.pop_front();
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_)
-          metrics_->persist_dropped.fetch_add(1, std::memory_order_relaxed);
-        if (closed_) continue;
-      }
-      queue_.push_back(std::move(w));
-      accepted_any = true;
-    }
-  }
-  // One wake for the whole batch: the drain loop empties the queue
-  // anyway, so per-entry notifies would only buy futex traffic.
-  if (accepted_any) cv_.notify_one();
-}
-
-void Persister::loop() {
-  std::unique_lock lk(mu_);
-  for (;;) {
-    cv_.wait(lk, [&] { return closed_ || (ready_ && !queue_.empty()); });
-    if (closed_ && !ready_) {
-      // Shut down before recovery finished: the store was never legal
-      // to append to. Account whatever queued as dropped and leave.
-      const auto n = static_cast<std::int64_t>(queue_.size());
-      queue_.clear();
-      dropped_.fetch_add(n, std::memory_order_relaxed);
-      if (metrics_)
-        metrics_->persist_dropped.fetch_add(n, std::memory_order_relaxed);
-      return;
-    }
-    if (queue_.empty()) return;  // closed and fully drained (and synced)
-    draining_ = true;
-    while (!queue_.empty()) {
-      // Swap the whole backlog out and land it as ONE contiguous append:
-      // per-record write(2) syscalls and lock round-trips collapse into
-      // one of each per drain swap. Items enqueued while we write go out
-      // on the next swap; the fsync below still waits for a fully empty
-      // queue.
-      std::vector<Write> batch;
-      batch.reserve(queue_.size());
-      for (auto& w : queue_) batch.push_back(std::move(w));
-      queue_.clear();
-      lk.unlock();
-      std::vector<CacheStore::StorePut> puts;
-      puts.reserve(batch.size());
-      for (Write& w : batch) {
-        if (config_.on_write) config_.on_write(w.key);
-        puts.push_back({std::move(w.key), core::encode_sim_result(w.result),
-                        w.cost_seconds, w.write_time});
-      }
-      store_->append_puts(puts);
-      const auto n = static_cast<std::int64_t>(puts.size());
-      written_.fetch_add(n, std::memory_order_relaxed);
-      if (metrics_)
-        metrics_->persist_written.fetch_add(n, std::memory_order_relaxed);
-      lk.lock();
-    }
-    // Queue drained: this is the durability point — one fsync per
-    // batch, not per record — and the bookkeeping moment for
-    // compaction (still on this thread, so the store stays
-    // single-threaded).
-    lk.unlock();
-    store_->sync();
-    flushes_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_)
-      metrics_->persist_flushes.fetch_add(1, std::memory_order_relaxed);
-    if (config_.compact_garbage_threshold > 0 &&
-        store_->maybe_compact(config_.compact_garbage_threshold,
-                              config_.compact_min_records)) {
-      compactions_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_)
-        metrics_->persist_compactions.fetch_add(1,
-                                                std::memory_order_relaxed);
-    }
-    lk.lock();
-    draining_ = false;
-    idle_cv_.notify_all();
-    if (closed_ && queue_.empty()) return;
-  }
-}
-
-void Persister::flush() {
-  std::unique_lock lk(mu_);
-  idle_cv_.wait(lk, [&] { return queue_.empty() && !draining_; });
-}
-
-void Persister::shutdown() {
-  {
-    std::lock_guard lock(mu_);
-    if (closed_ && !thread_.joinable()) return;
-    closed_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace gpawfd::svc

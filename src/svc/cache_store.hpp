@@ -6,30 +6,22 @@
 // simulations off the critical path of the *next process*: a bench/CI
 // restart warm-loads the store instead of re-simulating.
 //
-// One record on disk (all little-endian):
+// The framing, torn-tail recovery and atomic rewrite are
+// common/record_log's (DESIGN.md §17 has the shared rules). This file
+// is the store's codec and index. Its format fields (header bytes
+// 16-40) and payload:
 //
-//   0        4       5      6         8          16          24
-//   ┌────────┬───────┬──────┬─────────┬──────────┬───────────┬
-//   │ magic  │version│ type │reserved │ sequence │ write_time│
-//   │ 4B     │ 1B    │ 1B   │ 2B      │ 8B       │ 8B (f64)  │
-//   ┼────────┬─────────┬───────────┬───────┬──────┬──────────┤
-//   │ cost   │ key_len │ value_len │ crc32 │ key… │ value…   │
-//   │ 8B f64 │ 4B      │ 4B        │ 4B    │      │ (96B put)│
-//   └────────┴─────────┴───────────┴───────┴──────┴──────────┘
-//   24      32        36          40      44
+//   offset size field
+//   16     8    write_time  unix seconds the result was produced (f64)
+//   24     8    cost        measured cold executor cost (f64)
+//   32     4    key_len     1..16 KiB
+//   36     4    value_len   96 for a put, 0 for a tombstone
+//   44     ...  key bytes, then value bytes (the CRC'd payload)
 //
-// The CRC covers header bytes [0, 40) plus key plus value, so a torn
-// write (crash mid-append) or any bit flip invalidates exactly the
-// record it touched. Recovery scans forward and stops at the first
-// record that fails any check (magic, version, type, bounds, sequence
-// monotonicity, CRC): everything before it is recovered, everything
-// from it on is dropped — with repair=true the file is physically
-// truncated to the valid prefix so the next append continues cleanly.
 // Later records supersede earlier ones for the same key, and tombstone
 // records delete a key; when the superseded/tombstoned garbage exceeds
-// a threshold, compaction rewrites the live set to a temp file and
-// atomically renames it into place (original sequences and timestamps
-// preserved).
+// a threshold, compaction rewrites the live set (original sequences and
+// timestamps preserved).
 //
 // CacheStore itself is single-threaded by contract. The write-behind
 // Persister below is the concurrency story: SimService::complete()
@@ -39,18 +31,16 @@
 // every drain and compacting when garbage accumulates.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "common/record_log.hpp"
+#include "common/write_behind.hpp"
 #include "core/result_codec.hpp"
 
 namespace gpawfd::svc {
@@ -60,7 +50,7 @@ class Metrics;
 inline constexpr std::uint32_t kStoreMagic = 0x53435047;  // "GPCS" on disk
 inline constexpr std::uint8_t kStoreVersion = 1;
 /// Header incl. the trailing CRC, excl. key/value bytes.
-inline constexpr std::size_t kStoreHeaderBytes = 44;
+inline constexpr std::size_t kStoreHeaderBytes = RecordLog::kHeaderBytes;
 /// Sanity bounds recovery enforces before trusting a length field; a
 /// flipped bit in key_len must never make the scanner swallow the rest
 /// of the log as one "record".
@@ -110,15 +100,14 @@ class CacheStore {
   /// The store file a directory-configured service uses, so two
   /// processes given the same --cache-dir agree on the path.
   static constexpr const char* kFileName = "results.gpcs";
-  static std::string path_in(const std::string& dir);
+  static std::string path_in(const std::string& dir) {
+    return gpawfd::path_in(dir, kFileName);
+  }
 
   /// Opens (creating if absent) the log at `path`. recover() must run
   /// before the first append — it establishes the valid end of the log
   /// and the next sequence number.
   explicit CacheStore(std::string path);
-  ~CacheStore();
-  CacheStore(const CacheStore&) = delete;
-  CacheStore& operator=(const CacheStore&) = delete;
 
   /// Scan the log from the start, stop at the first torn/corrupt
   /// record, and return the live set (sequence order). With repair=true
@@ -163,7 +152,7 @@ class CacheStore {
   /// loop. Returns the offset just past the last record.
   std::uint64_t append_puts(const std::vector<StorePut>& puts);
 
-  void sync();  // fsync the log
+  void sync() { log_.sync(); }  // fsync the log
 
   // ---- compaction -----------------------------------------------------
   /// superseded + tombstoned records / total records (0 when empty).
@@ -177,38 +166,23 @@ class CacheStore {
   bool compact();
 
   // ---- statistics -----------------------------------------------------
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
   /// True when `key` has a live (non-tombstoned, non-superseded) put.
   bool contains(const std::string& key) const { return live_.count(key) > 0; }
-  std::int64_t total_records() const { return total_records_; }
+  std::int64_t total_records() const { return log_.records(); }
   std::int64_t live_records() const {
     return static_cast<std::int64_t>(live_.size());
   }
-  std::uint64_t next_sequence() const { return next_sequence_; }
-  std::uint64_t size_bytes() const { return end_offset_; }
+  std::uint64_t next_sequence() const { return log_.next_sequence(); }
+  std::uint64_t size_bytes() const { return log_.end(); }
   std::int64_t compactions() const { return compactions_; }
 
  private:
-  std::vector<std::uint8_t> encode_record(RecordType type,
-                                          std::uint64_t sequence,
-                                          double write_time,
-                                          double cost_seconds,
-                                          const std::string& key,
-                                          const std::uint8_t* value,
-                                          std::size_t value_len) const;
-  std::uint64_t append_record(RecordType type, const std::string& key,
-                              const std::uint8_t* value,
-                              std::size_t value_len, double cost_seconds,
-                              double write_time);
-  void note_applied(RecordType type, const std::string& key,
-                    std::uint64_t sequence);
+  /// Frame and append `records` of one type as one write; a tombstone
+  /// is a StorePut with an empty value.
+  std::uint64_t append(RecordType type, std::span<const StorePut> records);
 
-  std::string path_;
-  int fd_ = -1;
-  bool recovered_ = false;
-  std::uint64_t end_offset_ = 0;
-  std::uint64_t next_sequence_ = 1;
-  std::int64_t total_records_ = 0;
+  RecordLog log_;
   /// key -> sequence of its live put (absent = deleted/never written).
   std::unordered_map<std::string, std::uint64_t> live_;
   std::int64_t compactions_ = 0;
@@ -231,10 +205,10 @@ struct PersisterConfig {
   std::function<void(const std::string& key)> on_write;
 };
 
-/// Owns a CacheStore plus the dedicated thread that drains completed
-/// results into it, off the worker hot path. Counters are mirrored into
-/// the service Metrics (when given) so they appear in counter_map() and
-/// reconcile at quiescence: enqueued == written + dropped.
+/// Owns a CacheStore plus the WriteBehind thread that drains completed
+/// results into it, off the worker hot path. When given a Metrics, its
+/// persist_* counters are the ledger itself, so counter_map() reconciles
+/// at quiescence: enqueued == written + dropped.
 class Persister {
  public:
   /// One pending write-behind entry (the enqueue_batch unit).
@@ -251,60 +225,39 @@ class Persister {
   /// enqueued entries wait in the bounded queue.
   Persister(std::unique_ptr<CacheStore> store, PersisterConfig config = {},
             Metrics* metrics = nullptr, bool store_ready = true);
-  ~Persister();  // shutdown()
+  ~Persister() = default;  // the queue's destructor shuts it down first
   Persister(const Persister&) = delete;
   Persister& operator=(const Persister&) = delete;
 
-  /// Hand a completed result to the write-behind queue. Never blocks on
-  /// I/O; drops the oldest pending entry when the queue is full. Safe
-  /// from any thread; a no-op (counted as dropped) after shutdown().
+  /// WriteBehind::push: never blocks on I/O, drops the oldest pending
+  /// entry when full, counts a no-op after shutdown() as dropped.
   void enqueue(std::string key, const core::SimResult& result,
-               double cost_seconds, double write_time);
+               double cost_seconds, double write_time) {
+    queue_.push(Write{std::move(key), result, cost_seconds, write_time});
+  }
 
-  /// Batched enqueue: one lock acquisition and one thread wake for the
-  /// whole vector (the service's per-batch amortization), with the same
-  /// per-entry drop-oldest policy as enqueue().
-  void enqueue_batch(std::vector<Write> writes);
+  /// One lock and one wake for a whole service batch.
+  void enqueue_batch(std::vector<Write> writes) {
+    queue_.push_batch(std::move(writes));
+  }
 
-  /// Store recovery (running on another thread) finished: start
-  /// draining. No-op when constructed store_ready=true.
-  void mark_ready();
-
-  /// Block until everything enqueued so far is written and fsynced.
-  void flush();
-  /// Drain the queue, fsync, and stop the thread. Idempotent.
-  void shutdown();
+  /// Store recovery (running on another thread) finished.
+  void mark_ready() { queue_.mark_ready(); }
+  void flush() { queue_.flush(); }        // all enqueued written + fsynced
+  void shutdown() { queue_.shutdown(); }  // drain, fsync, stop; idempotent
 
   const CacheStore& store() const { return *store_; }
 
-  std::int64_t enqueued() const { return enqueued_.load(); }
-  std::int64_t written() const { return written_.load(); }
-  std::int64_t dropped() const { return dropped_.load(); }
-  std::int64_t flushes() const { return flushes_.load(); }
-  std::int64_t compactions() const { return compactions_.load(); }
+  std::int64_t enqueued() const { return queue_.enqueued(); }
+  std::int64_t written() const { return queue_.written(); }
+  std::int64_t dropped() const { return queue_.dropped(); }
+  std::int64_t flushes() const { return queue_.flushes(); }
+  std::int64_t compactions() const { return queue_.compactions(); }
 
  private:
-  void loop();
-
   std::unique_ptr<CacheStore> store_;
   PersisterConfig config_;
-  Metrics* metrics_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;       // wakes the persister thread
-  std::condition_variable idle_cv_;  // wakes flush() waiters
-  std::deque<Write> queue_;
-  bool ready_ = true;      // store recovered; appends are legal
-  bool closed_ = false;
-  bool draining_ = false;  // thread is between pop and post-drain sync
-
-  std::atomic<std::int64_t> enqueued_{0};
-  std::atomic<std::int64_t> written_{0};
-  std::atomic<std::int64_t> dropped_{0};
-  std::atomic<std::int64_t> flushes_{0};
-  std::atomic<std::int64_t> compactions_{0};
-
-  std::thread thread_;
+  WriteBehind<Write> queue_;  // last: its thread uses the rest
 };
 
 }  // namespace gpawfd::svc

@@ -56,7 +56,8 @@ class Metrics {
   // Write-behind (steady state): every completed result handed to the
   // persister is eventually written or dropped by backpressure, so
   //   persist_enqueued == persist_written + persist_dropped
-  // once the service is quiescent (after shutdown or flush).
+  // once the service is quiescent (after shutdown or flush). The five
+  // persist_* counters are the persister's WriteBehind ledger itself.
   std::atomic<std::int64_t> warm_loaded{0};
   std::atomic<std::int64_t> warm_skipped{0};
   // Peer cache-fill ingest (cluster replication): every received fill is

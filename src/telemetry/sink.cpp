@@ -7,22 +7,39 @@
 
 namespace gpawfd::telemetry {
 
-TelemetrySink::TelemetrySink(std::string path, std::string run_id,
-                             SinkConfig config)
-    : table_(std::make_unique<TelemetryTable>(std::move(path))),
-      run_id_(std::move(run_id)),
-      config_(std::move(config)) {
-  GPAWFD_CHECK(!run_id_.empty());
-  GPAWFD_CHECK(config_.queue_capacity >= 1);
-  // Recover synchronously before the writer starts: a table left torn by
-  // a SIGKILL is repaired here, so the first append lands on the valid
-  // prefix. Rows themselves are not replayed into memory — the table is
-  // append-only history, not a cache.
-  table_->recover_stream([](TelemetryRow&&) {}, nullptr, /*repair=*/true);
-  thread_ = std::thread(&TelemetrySink::loop, this);
+namespace {
+
+/// Recover synchronously before the writer starts: a table left torn by
+/// a SIGKILL is repaired here, so the first append lands on the valid
+/// prefix. Rows themselves are not replayed into memory — the table is
+/// append-only history, not a cache.
+std::unique_ptr<TelemetryTable> open_recovered(std::string path) {
+  auto table = std::make_unique<TelemetryTable>(std::move(path));
+  table->recover_stream([](TelemetryRow&&) {}, nullptr, /*repair=*/true);
+  return table;
 }
 
-TelemetrySink::~TelemetrySink() { shutdown(); }
+}  // namespace
+
+TelemetrySink::TelemetrySink(std::string path, std::string run_id,
+                             SinkConfig config)
+    : table_(open_recovered(std::move(path))),
+      run_id_(std::move(run_id)),
+      config_(std::move(config)),
+      queue_(
+          config_.queue_capacity,
+          [this](std::vector<TelemetryRow>& batch) {
+            if (config_.on_write) config_.on_write(batch.front());
+            table_->append_rows(batch);
+          },
+          [this] {
+            table_->sync();
+            return config_.compact_max_runs > 0 &&
+                   table_->maybe_compact(config_.compact_max_runs,
+                                         config_.compact_min_rows);
+          }) {
+  GPAWFD_CHECK(!run_id_.empty());
+}
 
 std::shared_ptr<TelemetrySink> TelemetrySink::open_in(const std::string& dir,
                                                       std::string run_id,
@@ -40,75 +57,7 @@ bool TelemetrySink::record(const std::string& source, const std::string& key,
   row.tags = tags;
   row.value = value;
   row.time = trace::unix_seconds();
-
-  std::lock_guard lock(mu_);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
-  // After shutdown (or when bumping the oldest out of a full queue) an
-  // entry is dropped, keeping recorded == written + dropped exact.
-  bool dropped = false;
-  if (closed_ || queue_.size() >= config_.queue_capacity) {
-    if (!closed_) queue_.pop_front();
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    dropped = true;
-    if (closed_) return false;
-  }
-  queue_.push_back(std::move(row));
-  cv_.notify_one();
-  return !dropped;
-}
-
-void TelemetrySink::loop() {
-  std::unique_lock lk(mu_);
-  for (;;) {
-    cv_.wait(lk, [&] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // closed and fully drained (and synced)
-    draining_ = true;
-    while (!queue_.empty()) {
-      // Swap the whole backlog out and land it as ONE contiguous append:
-      // per-row write(2) syscalls and lock round-trips collapse into one
-      // of each per drain swap. Rows recorded while we write go out on
-      // the next swap; the fsync below still waits for an empty queue.
-      std::vector<TelemetryRow> batch;
-      batch.reserve(queue_.size());
-      for (auto& row : queue_) batch.push_back(std::move(row));
-      queue_.clear();
-      lk.unlock();
-      if (config_.on_write) config_.on_write(batch.front());
-      table_->append_rows(batch);
-      written_.fetch_add(static_cast<std::int64_t>(batch.size()),
-                         std::memory_order_relaxed);
-      lk.lock();
-    }
-    // Queue drained: the durability point — one fsync per drain, not per
-    // row — and the retention moment (still on this thread, so the table
-    // stays single-threaded).
-    lk.unlock();
-    table_->sync();
-    flushes_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.compact_max_runs > 0 &&
-        table_->maybe_compact(config_.compact_max_runs,
-                              config_.compact_min_rows))
-      compactions_.fetch_add(1, std::memory_order_relaxed);
-    lk.lock();
-    draining_ = false;
-    idle_cv_.notify_all();
-    if (closed_ && queue_.empty()) return;
-  }
-}
-
-void TelemetrySink::flush() {
-  std::unique_lock lk(mu_);
-  idle_cv_.wait(lk, [&] { return queue_.empty() && !draining_; });
-}
-
-void TelemetrySink::shutdown() {
-  {
-    std::lock_guard lock(mu_);
-    if (closed_ && !thread_.joinable()) return;
-    closed_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  return queue_.push(std::move(row));
 }
 
 }  // namespace gpawfd::telemetry

@@ -1,24 +1,20 @@
-// The async telemetry sink: producers on any thread call record() and
-// a dedicated writer thread drains the bounded queue into the
+// The async telemetry sink: producers on any thread call record() and a
+// common/write_behind thread drains the bounded queue into the
 // TelemetryTable — the gacspp COutput buffered-writer pattern with the
-// CacheStore Persister's exact backpressure contract. record() never
-// blocks on I/O; when the queue is full the *oldest* pending row is
-// dropped (counted — recorded == written + dropped reconciles at
-// quiescence), because telemetry must never add latency to the thing it
-// measures. Each drain swap lands as one contiguous append + one fsync.
+// write-behind contract (DESIGN.md §17). record() never blocks on I/O;
+// when the queue is full the *oldest* pending row is dropped (counted —
+// recorded == written + dropped reconciles at quiescence), because
+// telemetry must never add latency to the thing it measures. Each drain
+// swap lands as one contiguous append + one fsync.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/write_behind.hpp"
 #include "telemetry/table.hpp"
 
 namespace gpawfd::telemetry {
@@ -39,7 +35,7 @@ struct SinkConfig {
   std::function<void(const TelemetryRow& first)> on_write;
 };
 
-/// Owns a TelemetryTable plus the dedicated thread that drains rows
+/// Owns a TelemetryTable plus the WriteBehind thread that drains rows
 /// into it. Construction opens the table and runs recovery (repair=true)
 /// synchronously, so a sink on a SIGKILLed table starts from the valid
 /// prefix; then the writer thread starts.
@@ -47,7 +43,7 @@ class TelemetrySink {
  public:
   /// Every row this sink records carries `run_id`.
   TelemetrySink(std::string path, std::string run_id, SinkConfig config = {});
-  ~TelemetrySink();  // shutdown()
+  ~TelemetrySink() = default;  // the queue's destructor shuts it down first
   TelemetrySink(const TelemetrySink&) = delete;
   TelemetrySink& operator=(const TelemetrySink&) = delete;
 
@@ -63,41 +59,23 @@ class TelemetrySink {
   bool record(const std::string& source, const std::string& key, double value,
               const std::string& tags = {});
 
-  /// Block until everything recorded so far is written and fsynced.
-  void flush();
-  /// Drain the queue, fsync, and stop the thread. Idempotent.
-  void shutdown();
+  void flush() { queue_.flush(); }        // all recorded written + fsynced
+  void shutdown() { queue_.shutdown(); }  // drain, fsync, stop; idempotent
 
   const std::string& run_id() const { return run_id_; }
   const TelemetryTable& table() const { return *table_; }
 
-  std::int64_t recorded() const { return recorded_.load(); }
-  std::int64_t written() const { return written_.load(); }
-  std::int64_t dropped() const { return dropped_.load(); }
-  std::int64_t flushes() const { return flushes_.load(); }
-  std::int64_t compactions() const { return compactions_.load(); }
+  std::int64_t recorded() const { return queue_.enqueued(); }
+  std::int64_t written() const { return queue_.written(); }
+  std::int64_t dropped() const { return queue_.dropped(); }
+  std::int64_t flushes() const { return queue_.flushes(); }
+  std::int64_t compactions() const { return queue_.compactions(); }
 
  private:
-  void loop();
-
   std::unique_ptr<TelemetryTable> table_;
   std::string run_id_;
   SinkConfig config_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;       // wakes the writer thread
-  std::condition_variable idle_cv_;  // wakes flush() waiters
-  std::deque<TelemetryRow> queue_;
-  bool closed_ = false;
-  bool draining_ = false;  // thread is between pop and post-drain sync
-
-  std::atomic<std::int64_t> recorded_{0};
-  std::atomic<std::int64_t> written_{0};
-  std::atomic<std::int64_t> dropped_{0};
-  std::atomic<std::int64_t> flushes_{0};
-  std::atomic<std::int64_t> compactions_{0};
-
-  std::thread thread_;
+  WriteBehind<TelemetryRow> queue_;  // last: its thread uses the rest
 };
 
 }  // namespace gpawfd::telemetry

@@ -1,133 +1,60 @@
 #include "telemetry/table.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
-#include "common/hash.hpp"
-#include "core/result_codec.hpp"
 
 namespace gpawfd::telemetry {
 
 namespace {
 
-/// Offset of the CRC field inside the header: the CRC covers everything
-/// before it (plus the string payload), never itself.
-constexpr std::size_t kCrcOffset = kRowHeaderBytes - 4;
-
-void write_all(int fd, const std::uint8_t* p, std::size_t n,
-               std::uint64_t offset) {
-  while (n > 0) {
-    ssize_t w = ::pwrite(fd, p, n, static_cast<off_t>(offset));
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      GPAWFD_CHECK_MSG(false, "telemetry table write failed: "
-                                  << std::strerror(errno));
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-    offset += static_cast<std::uint64_t>(w);
-  }
+std::uint32_t read_u16(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8);
 }
 
-/// Durability of a rename needs the *directory* entry flushed too;
-/// best-effort (not every filesystem lets you fsync a directory).
-void sync_parent_dir(const std::string& path) {
-  auto slash = path.rfind('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+void append_u16(std::vector<std::uint8_t>& out, std::size_t v) {
+  out.push_back(static_cast<std::uint8_t>(v & 0xff));
+  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
+}
+
+bool row_type_ok(std::uint8_t type) {
+  return type == static_cast<std::uint8_t>(RowType::kRow);
+}
+
+/// The four strings' bytes: run_id, source and key non-empty, every
+/// field within kMaxFieldBytes.
+std::optional<std::size_t> row_payload_bytes(const std::uint8_t* header) {
+  const std::uint32_t run_len = read_u16(header + 32);
+  const std::uint32_t source_len = read_u16(header + 34);
+  const std::uint32_t key_len = read_u16(header + 36);
+  const std::uint32_t tags_len = read_u16(header + 38);
+  if (run_len == 0 || run_len > kMaxFieldBytes) return std::nullopt;
+  if (source_len == 0 || source_len > kMaxFieldBytes) return std::nullopt;
+  if (key_len == 0 || key_len > kMaxFieldBytes) return std::nullopt;
+  if (tags_len > kMaxFieldBytes) return std::nullopt;
+  return std::size_t{run_len} + source_len + key_len + tags_len;
+}
+
+constexpr RecordFormat kTableFormat{"telemetry table", kTableMagic,
+                                    kTableVersion, row_type_ok,
+                                    row_payload_bytes};
+
+std::string run_id_of(const RecordLog::Record& r) {
+  return {reinterpret_cast<const char*>(r.payload), read_u16(r.header + 32)};
 }
 
 bool field_ok(const std::string& s) { return s.size() <= kMaxFieldBytes; }
 
 }  // namespace
 
-std::string TelemetryTable::path_in(const std::string& dir) {
-  if (dir.empty() || dir.back() == '/') return dir + kFileName;
-  return dir + "/" + kFileName;
-}
+TelemetryTable::TelemetryTable(std::string path)
+    : log_(std::move(path), kTableFormat) {}
 
-TelemetryTable::TelemetryTable(std::string path) : path_(std::move(path)) {
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  GPAWFD_CHECK_MSG(fd_ >= 0, "cannot open telemetry table "
-                                 << path_ << ": " << std::strerror(errno));
-}
-
-TelemetryTable::~TelemetryTable() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-std::vector<std::uint8_t> TelemetryTable::encode_row(
-    std::uint64_t sequence, const TelemetryRow& row) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kRowHeaderBytes + row.run_id.size() + row.source.size() +
-              row.key.size() + row.tags.size());
-  core::append_u32(out, kTableMagic);
-  out.push_back(kTableVersion);
-  out.push_back(static_cast<std::uint8_t>(RowType::kRow));
-  out.push_back(0);  // reserved
-  out.push_back(0);
-  core::append_u64(out, sequence);
-  core::append_double(out, row.time);
-  core::append_double(out, row.value);
-  auto len16 = [&](const std::string& s) {
-    out.push_back(static_cast<std::uint8_t>(s.size() & 0xff));
-    out.push_back(static_cast<std::uint8_t>((s.size() >> 8) & 0xff));
-  };
-  len16(row.run_id);
-  len16(row.source);
-  len16(row.key);
-  len16(row.tags);
-  std::uint32_t crc = crc32(out.data(), kCrcOffset);
-  crc = crc32(row.run_id.data(), row.run_id.size(), crc);
-  crc = crc32(row.source.data(), row.source.size(), crc);
-  crc = crc32(row.key.data(), row.key.size(), crc);
-  crc = crc32(row.tags.data(), row.tags.size(), crc);
-  core::append_u32(out, crc);
-  out.insert(out.end(), row.run_id.begin(), row.run_id.end());
-  out.insert(out.end(), row.source.begin(), row.source.end());
-  out.insert(out.end(), row.key.begin(), row.key.end());
-  out.insert(out.end(), row.tags.begin(), row.tags.end());
-  return out;
-}
-
-std::uint64_t TelemetryTable::append_row(const TelemetryRow& row) {
-  GPAWFD_CHECK_MSG(recovered_,
-                   "TelemetryTable::recover() must run before appends");
-  GPAWFD_CHECK_MSG(!row.run_id.empty() && !row.source.empty() &&
-                       !row.key.empty(),
-                   "telemetry row run_id/source/key must be non-empty");
-  GPAWFD_CHECK_MSG(field_ok(row.run_id) && field_ok(row.source) &&
-                       field_ok(row.key) && field_ok(row.tags),
-                   "telemetry row field exceeds " << kMaxFieldBytes
-                                                  << " bytes");
-  const std::uint64_t seq = next_sequence_;
-  std::vector<std::uint8_t> buf = encode_row(seq, row);
-  write_all(fd_, buf.data(), buf.size(), end_offset_);
-  end_offset_ += buf.size();
-  next_sequence_ = seq + 1;
-  ++total_rows_;
-  note_run(row.run_id);
-  return end_offset_;
-}
-
-std::uint64_t TelemetryTable::append_rows(
-    const std::vector<TelemetryRow>& rows) {
-  GPAWFD_CHECK_MSG(recovered_,
-                   "TelemetryTable::recover() must run before appends");
-  if (rows.empty()) return end_offset_;
+std::uint64_t TelemetryTable::append(std::span<const TelemetryRow> rows) {
+  std::uint64_t seq = log_.next_sequence();
   std::vector<std::uint8_t> buf;
   for (const TelemetryRow& row : rows) {
     GPAWFD_CHECK_MSG(!row.run_id.empty() && !row.source.empty() &&
@@ -137,22 +64,30 @@ std::uint64_t TelemetryTable::append_rows(
                          field_ok(row.key) && field_ok(row.tags),
                      "telemetry row field exceeds " << kMaxFieldBytes
                                                     << " bytes");
-    const std::vector<std::uint8_t> rec = encode_row(next_sequence_, row);
-    buf.insert(buf.end(), rec.begin(), rec.end());
-    ++next_sequence_;
+    const std::size_t start = log_.begin_record(
+        buf, static_cast<std::uint8_t>(RowType::kRow), seq++);
+    append_double(buf, row.time);
+    append_double(buf, row.value);
+    append_u16(buf, row.run_id.size());
+    append_u16(buf, row.source.size());
+    append_u16(buf, row.key.size());
+    append_u16(buf, row.tags.size());
+    log_.end_record(buf, start,
+                    {byte_span(row.run_id), byte_span(row.source),
+                     byte_span(row.key), byte_span(row.tags)});
   }
-  write_all(fd_, buf.data(), buf.size(), end_offset_);
-  end_offset_ += buf.size();
-  for (const TelemetryRow& row : rows) {
-    ++total_rows_;
-    note_run(row.run_id);
-  }
-  return end_offset_;
+  log_.append(buf, static_cast<std::int64_t>(rows.size()));
+  for (const TelemetryRow& row : rows) note_run(row.run_id);
+  return log_.end();
 }
 
-void TelemetryTable::sync() {
-  GPAWFD_CHECK_MSG(::fsync(fd_) == 0,
-                   "telemetry table fsync failed: " << std::strerror(errno));
+std::uint64_t TelemetryTable::append_row(const TelemetryRow& row) {
+  return append({&row, 1});
+}
+
+std::uint64_t TelemetryTable::append_rows(
+    const std::vector<TelemetryRow>& rows) {
+  return append(rows);
 }
 
 void TelemetryTable::note_run(const std::string& run_id) {
@@ -162,135 +97,34 @@ void TelemetryTable::note_run(const std::string& run_id) {
 std::uint64_t TelemetryTable::recover_stream(
     const std::function<void(TelemetryRow&&)>& emit, TableRecoveryStats* stats,
     bool repair) {
-  struct stat st;
-  GPAWFD_CHECK_MSG(::fstat(fd_, &st) == 0,
-                   "telemetry table fstat failed: " << std::strerror(errno));
-  const std::uint64_t file_size = static_cast<std::uint64_t>(st.st_size);
-
-  // Chunked forward scan, same shape as CacheStore::recover_stream:
-  // accept rows until the first one that fails any structural or
-  // integrity check, then stop — nothing past a bad row can be trusted
-  // (its length fields might be the corruption).
-  constexpr std::size_t kChunkBytes = 256 * 1024;
-  std::vector<std::uint8_t> buf;
-  std::size_t start = 0;        // parse cursor within buf
-  std::uint64_t file_pos = 0;   // next byte to pread
-  std::uint64_t valid_end = 0;  // offset just past the last good row
-  bool eof = false;
-  bool short_read = false;  // concurrently truncated under us
-
-  // Ensure `need` unparsed bytes are buffered; false on (effective) EOF.
-  auto refill = [&](std::size_t need) {
-    while (!eof && buf.size() - start < need) {
-      if (start > 0) {
-        buf.erase(buf.begin(),
-                  buf.begin() + static_cast<std::ptrdiff_t>(start));
-        start = 0;
-      }
-      if (file_pos >= file_size) {
-        eof = true;
-        break;
-      }
-      const std::size_t want = std::max(kChunkBytes, need);
-      const std::size_t to_read = static_cast<std::size_t>(
-          std::min<std::uint64_t>(want, file_size - file_pos));
-      const std::size_t old = buf.size();
-      buf.resize(old + to_read);
-      std::size_t got = 0;
-      while (got < to_read) {
-        ssize_t r = ::pread(fd_, buf.data() + old + got, to_read - got,
-                            static_cast<off_t>(file_pos + got));
-        if (r < 0 && errno == EINTR) continue;
-        GPAWFD_CHECK_MSG(
-            r >= 0, "telemetry table read failed: " << std::strerror(errno));
-        if (r == 0) {  // concurrently truncated; treat the rest as torn
-          eof = short_read = true;
-          break;
-        }
-        got += static_cast<std::size_t>(r);
-      }
-      buf.resize(old + got);
-      file_pos += got;
-      if (file_pos >= file_size) eof = true;
-    }
-    return buf.size() - start >= need;
-  };
-
-  auto read_u16 = [](const std::uint8_t* p) {
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8);
-  };
-
-  std::int64_t scanned = 0;
-  std::uint64_t last_seq = 0;
-  std::vector<std::string> runs;
-  std::unordered_set<std::string> run_set;
-  for (;;) {
-    if (!refill(kRowHeaderBytes)) break;
-    const std::uint8_t* h = buf.data() + start;
-    if (core::read_u32(h) != kTableMagic) break;
-    if (h[4] != kTableVersion) break;
-    if (h[5] != static_cast<std::uint8_t>(RowType::kRow)) break;
-    const std::uint64_t seq = core::read_u64(h + 8);
-    const double time = core::read_double(h + 16);
-    const double value = core::read_double(h + 24);
-    const std::uint32_t run_len = read_u16(h + 32);
-    const std::uint32_t source_len = read_u16(h + 34);
-    const std::uint32_t key_len = read_u16(h + 36);
-    const std::uint32_t tags_len = read_u16(h + 38);
-    if (run_len == 0 || run_len > kMaxFieldBytes) break;
-    if (source_len == 0 || source_len > kMaxFieldBytes) break;
-    if (key_len == 0 || key_len > kMaxFieldBytes) break;
-    if (tags_len > kMaxFieldBytes) break;
-    const std::size_t payload = run_len + source_len + key_len + tags_len;
-    const std::size_t total = kRowHeaderBytes + payload;
-    if (!refill(total)) break;  // torn tail: row extends past EOF
-    h = buf.data() + start;     // refill may have compacted/reallocated
-    std::uint32_t crc = crc32(h, kCrcOffset);
-    crc = crc32(h + kRowHeaderBytes, payload, crc);
-    if (crc != core::read_u32(h + kCrcOffset)) break;
-    if (seq <= last_seq) break;  // sequences are strictly increasing
-
-    TelemetryRow row;
-    const char* p = reinterpret_cast<const char*>(h + kRowHeaderBytes);
-    row.run_id.assign(p, run_len);
-    row.source.assign(p + run_len, source_len);
-    row.key.assign(p + run_len + source_len, key_len);
-    row.tags.assign(p + run_len + source_len + key_len, tags_len);
-    row.value = value;
-    row.time = time;
-    row.sequence = seq;
-    if (run_set.insert(row.run_id).second) runs.push_back(row.run_id);
-    emit(std::move(row));
-    ++scanned;
-    last_seq = seq;
-    start += total;
-    valid_end += total;
-  }
-
-  const std::uint64_t avail = short_read ? file_pos : file_size;
+  runs_.clear();
+  run_set_.clear();
+  const RecordLog::ScanStats scan = log_.scan(
+      [&](const RecordLog::Record& r) {
+        const std::size_t run_len = read_u16(r.header + 32);
+        const std::size_t source_len = read_u16(r.header + 34);
+        const std::size_t key_len = read_u16(r.header + 36);
+        const char* p = reinterpret_cast<const char*>(r.payload);
+        TelemetryRow row;
+        row.run_id.assign(p, run_len);
+        row.source.assign(p + run_len, source_len);
+        row.key.assign(p + run_len + source_len, key_len);
+        row.tags.assign(p + run_len + source_len + key_len,
+                        r.payload_bytes - run_len - source_len - key_len);
+        row.time = read_double(r.header + 16);
+        row.value = read_double(r.header + 24);
+        row.sequence = r.sequence;
+        note_run(row.run_id);
+        emit(std::move(row));
+      },
+      repair);
   if (stats) {
-    stats->rows_scanned = scanned;
-    stats->runs = static_cast<std::int64_t>(runs.size());
-    stats->truncated_bytes = static_cast<std::int64_t>(avail - valid_end);
-    stats->truncated = avail != valid_end;
+    stats->rows_scanned = scan.records;
+    stats->runs = static_cast<std::int64_t>(runs_.size());
+    stats->truncated_bytes = scan.truncated_bytes;
+    stats->truncated = scan.truncated_bytes != 0;
   }
-
-  // Establish (or re-establish) the writer state from the valid prefix.
-  runs_ = std::move(runs);
-  run_set_ = std::move(run_set);
-  total_rows_ = scanned;
-  next_sequence_ = last_seq + 1;
-  end_offset_ = valid_end;
-  recovered_ = true;
-
-  if (repair && valid_end < file_size) {
-    GPAWFD_CHECK_MSG(
-        ::ftruncate(fd_, static_cast<off_t>(valid_end)) == 0,
-        "telemetry table truncate failed: " << std::strerror(errno));
-    sync();
-  }
-  return valid_end;
+  return log_.end();
 }
 
 std::vector<TelemetryRow> TelemetryTable::recover(TableRecoveryStats* stats,
@@ -302,62 +136,27 @@ std::vector<TelemetryRow> TelemetryTable::recover(TableRecoveryStats* stats,
 }
 
 bool TelemetryTable::compact_keep_runs(int keep_runs) {
-  GPAWFD_CHECK_MSG(recovered_,
+  GPAWFD_CHECK_MSG(log_.recovered(),
                    "TelemetryTable::recover() must run before compaction");
   GPAWFD_CHECK(keep_runs >= 1);
   if (static_cast<int>(runs_.size()) <= keep_runs) return false;
 
   // Runs are recorded in first-appearance order, so the newest N are the
-  // tail of runs_. Re-read the survivors from disk (the in-memory state
-  // only holds run ids, not rows). The file is ours alone here: the sink
-  // thread is the only writer and it is the caller.
-  std::unordered_set<std::string> keep;
-  for (std::size_t i = runs_.size() - static_cast<std::size_t>(keep_runs);
-       i < runs_.size(); ++i)
-    keep.insert(runs_[i]);
-  std::vector<TelemetryRow> survivors;
-  recover_stream(
-      [&](TelemetryRow&& row) {
-        if (keep.count(row.run_id)) survivors.push_back(std::move(row));
-      },
-      nullptr, /*repair=*/false);
-  const std::uint64_t keep_next_seq = next_sequence_;
-
-  const std::string tmp = path_ + ".compact";
-  int tfd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  GPAWFD_CHECK_MSG(tfd >= 0,
-                   "cannot open " << tmp << ": " << std::strerror(errno));
-  std::uint64_t offset = 0;
-  for (const TelemetryRow& row : survivors) {
-    std::vector<std::uint8_t> buf = encode_row(row.sequence, row);
-    write_all(tfd, buf.data(), buf.size(), offset);
-    offset += buf.size();
-  }
-  GPAWFD_CHECK_MSG(::fsync(tfd) == 0,
-                   "compaction fsync failed: " << std::strerror(errno));
-  ::close(tfd);
-  GPAWFD_CHECK_MSG(::rename(tmp.c_str(), path_.c_str()) == 0,
-                   "compaction rename failed: " << std::strerror(errno));
-  sync_parent_dir(path_);
-
-  ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
-  GPAWFD_CHECK_MSG(fd_ >= 0, "cannot reopen compacted table "
-                                 << path_ << ": " << std::strerror(errno));
-  runs_.clear();
-  run_set_.clear();
-  for (const TelemetryRow& row : survivors) note_run(row.run_id);
-  total_rows_ = static_cast<std::int64_t>(survivors.size());
-  next_sequence_ = keep_next_seq;  // never reuse a sequence number
-  end_offset_ = offset;
+  // tail of runs_, and they keep that order among the survivors.
+  std::vector<std::string> kept(runs_.end() - keep_runs, runs_.end());
+  std::unordered_set<std::string> keep(kept.begin(), kept.end());
+  log_.rewrite([&](const RecordLog::Record& r) {
+    return keep.count(run_id_of(r)) > 0;
+  });
+  runs_ = std::move(kept);
+  run_set_ = std::move(keep);
   ++compactions_;
   return true;
 }
 
 bool TelemetryTable::maybe_compact(int max_runs, std::int64_t min_rows) {
   if (max_runs <= 0) return false;
-  if (total_rows_ < min_rows) return false;
+  if (total_rows() < min_rows) return false;
   if (static_cast<int>(runs_.size()) <= max_runs) return false;
   return compact_keep_runs(max_runs);
 }

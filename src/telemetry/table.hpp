@@ -8,34 +8,24 @@
 // measure-then-decide discipline the source paper applies to kernel
 // selection, applied to this repo's own performance.
 //
-// The framing reuses the CacheStore discipline verbatim — a 44-byte
-// little-endian header with magic/version/CRC32, forward-scan recovery
-// that stops at the first torn or corrupt record, and
-// atomic-rename compaction — because that discipline already survives
-// the failure model that matters here: a bench SIGKILLed mid-run must
-// leave a table whose fully-flushed rows all recover.
+// The framing, torn-tail recovery and atomic rewrite are
+// common/record_log's, shared with the result store (DESIGN.md §17),
+// so a bench SIGKILLed mid-run leaves a table whose fully-flushed rows
+// all recover. This file is the table's codec and run index. Its format
+// fields (header bytes 16-40) and payload:
 //
-// One row on disk (all little-endian):
+//   offset size field
+//   16     8    time        unix seconds at production time (f64)
+//   24     8    value       the metric value (f64)
+//   32     2    run_id_len  1..4096
+//   34     2    source_len  1..4096
+//   36     2    key_len     1..4096
+//   38     2    tags_len    0..4096
+//   44     ...  run_id, source, key, tags bytes (the CRC'd payload)
 //
-//   0        4       5      6         8          16         24
-//   ┌────────┬───────┬──────┬─────────┬──────────┬──────────┬
-//   │ magic  │version│ type │reserved │ sequence │ time     │
-//   │ 4B     │ 1B    │ 1B   │ 2B      │ 8B       │ 8B (f64) │
-//   ┼────────┬────────────┬────────────┬─────────┬──────────┤
-//   │ value  │ run_id_len │ source_len │ key_len │ tags_len │
-//   │ 8B f64 │ 2B         │ 2B         │ 2B      │ 2B       │
-//   ┼────────┬────────┬─────────┬───────┬────────┴──────────┘
-//   │ crc32  │ run_id…│ source… │ key…  │ tags…
-//   │ 4B     │        │         │       │
-//   └────────┴────────┴─────────┴───────┘
-//   40       44
-//
-// The CRC covers header bytes [0, 40) plus the four string fields, so a
-// torn write or any bit flip invalidates exactly the row it touched;
-// recovery keeps everything before it. "Compaction" here is retention:
-// the table keeps the newest N distinct run_ids and rewrites the rest
-// away (tmp + fsync + rename + dir fsync, sequences preserved), so a
-// long-lived trajectory file does not grow without bound.
+// "Compaction" here is retention: the table keeps the newest N distinct
+// run_ids and rewrites the rest away, so a long-lived trajectory file
+// does not grow without bound.
 //
 // TelemetryTable is single-threaded by contract; the TelemetrySink
 // (sink.hpp) owns the concurrency story.
@@ -43,16 +33,19 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
+
+#include "common/record_log.hpp"
 
 namespace gpawfd::telemetry {
 
 inline constexpr std::uint32_t kTableMagic = 0x54545047;  // "GPTT" on disk
 inline constexpr std::uint8_t kTableVersion = 1;
 /// Header incl. the trailing CRC, excl. the string payload.
-inline constexpr std::size_t kRowHeaderBytes = 44;
+inline constexpr std::size_t kRowHeaderBytes = RecordLog::kHeaderBytes;
 /// Sanity bound recovery enforces on every string length field before
 /// trusting it; a flipped bit in a length must never make the scanner
 /// swallow the rest of the table as one "row".
@@ -87,15 +80,14 @@ class TelemetryTable {
   /// The table file a directory-configured producer uses, so every
   /// process given the same --telemetry-dir agrees on the path.
   static constexpr const char* kFileName = "telemetry.gptt";
-  static std::string path_in(const std::string& dir);
+  static std::string path_in(const std::string& dir) {
+    return gpawfd::path_in(dir, kFileName);
+  }
 
   /// Opens (creating if absent) the table at `path`. recover() must run
   /// before the first append — it establishes the valid end of the file
   /// and the next sequence number.
   explicit TelemetryTable(std::string path);
-  ~TelemetryTable();
-  TelemetryTable(const TelemetryTable&) = delete;
-  TelemetryTable& operator=(const TelemetryTable&) = delete;
 
   /// Scan from the start, stop at the first torn/corrupt row, return
   /// every valid row in log order. With repair=true (the writer's mode)
@@ -121,7 +113,7 @@ class TelemetryTable {
   /// coalescing half. Byte-identical on disk to append_row in a loop.
   std::uint64_t append_rows(const std::vector<TelemetryRow>& rows);
 
-  void sync();  // fsync the table
+  void sync() { log_.sync(); }  // fsync the table
 
   // ---- retention compaction -------------------------------------------
   /// Rewrite the table keeping only rows whose run_id is among the
@@ -134,25 +126,19 @@ class TelemetryTable {
   bool maybe_compact(int max_runs, std::int64_t min_rows = 4096);
 
   // ---- statistics -----------------------------------------------------
-  const std::string& path() const { return path_; }
-  std::int64_t total_rows() const { return total_rows_; }
-  std::uint64_t next_sequence() const { return next_sequence_; }
-  std::uint64_t size_bytes() const { return end_offset_; }
+  const std::string& path() const { return log_.path(); }
+  std::int64_t total_rows() const { return log_.records(); }
+  std::uint64_t next_sequence() const { return log_.next_sequence(); }
+  std::uint64_t size_bytes() const { return log_.end(); }
   /// Distinct run_ids in first-appearance order.
   const std::vector<std::string>& runs() const { return runs_; }
   std::int64_t compactions() const { return compactions_; }
 
  private:
-  std::vector<std::uint8_t> encode_row(std::uint64_t sequence,
-                                       const TelemetryRow& row) const;
+  std::uint64_t append(std::span<const TelemetryRow> rows);
   void note_run(const std::string& run_id);
 
-  std::string path_;
-  int fd_ = -1;
-  bool recovered_ = false;
-  std::uint64_t end_offset_ = 0;
-  std::uint64_t next_sequence_ = 1;
-  std::int64_t total_rows_ = 0;
+  RecordLog log_;
   std::vector<std::string> runs_;  // first-appearance order
   std::unordered_set<std::string> run_set_;
   std::int64_t compactions_ = 0;

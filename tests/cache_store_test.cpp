@@ -705,5 +705,40 @@ TEST(Persister, EnqueueAfterShutdownCountsAsDropped) {
   EXPECT_EQ(persister.dropped(), 1);  // identity holds even past shutdown
 }
 
+// The overlapped warm load parks the persister until recovery finishes.
+// A shutdown that comes first must not touch a store nobody recovered:
+// every queued entry is dropped, and the ledger still reconciles.
+TEST(Persister, ShutdownBeforeReadyDropsEverythingAndLeavesTheLogUntouched) {
+  TempDir tmp;
+  write_sample_log(tmp.store_path());
+  const auto before = read_file(tmp.store_path());
+  ASSERT_FALSE(before.empty());
+
+  svc::Metrics metrics;
+  svc::Persister persister(
+      std::make_unique<svc::CacheStore>(tmp.store_path()), {}, &metrics,
+      /*store_ready=*/false);
+  for (int i = 0; i < 3; ++i)
+    persister.enqueue("v1|parked-" + std::to_string(i),
+                      make_result(static_cast<double>(i)), 0.1, 100.0);
+  std::vector<svc::Persister::Write> batch;
+  for (int i = 3; i < 5; ++i)
+    batch.push_back({"v1|parked-" + std::to_string(i),
+                     make_result(static_cast<double>(i)), 0.1, 100.0});
+  persister.enqueue_batch(std::move(batch));
+  persister.shutdown();
+
+  EXPECT_EQ(persister.enqueued(), 5);
+  EXPECT_EQ(persister.written(), 0);
+  EXPECT_EQ(persister.dropped(), 5);
+  EXPECT_EQ(persister.flushes(), 0);
+  const auto counters = metrics.counter_map();
+  EXPECT_EQ(counters.at("svc.persist_enqueued"),
+            counters.at("svc.persist_written") +
+                counters.at("svc.persist_dropped"));
+  EXPECT_EQ(counters.at("svc.persist_written"), 0);
+  EXPECT_TRUE(read_file(tmp.store_path()) == before);
+}
+
 }  // namespace
 }  // namespace gpawfd

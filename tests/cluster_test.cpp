@@ -161,7 +161,7 @@ std::vector<TestBackend> make_backends(
 cluster::RouterConfig router_config(const std::vector<TestBackend>& backends) {
   cluster::RouterConfig cfg;
   for (const TestBackend& b : backends)
-    cfg.backends.push_back({"127.0.0.1", b.server->port()});
+    cfg.backends.push_back({"127.0.0.1", b.server->port(), /*ring_id=*/{}});
   cfg.retry.max_attempts = 4;
   cfg.retry.initial_backoff_seconds = 0.001;
   cfg.health_period_seconds = 0;  // tests drive probe_all() themselves

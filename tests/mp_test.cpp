@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <vector>
 
@@ -187,6 +188,31 @@ TEST(ThreadComm, TooSmallReceiveBufferThrows) {
     }
   }),
                gpawfd::Error);
+}
+
+// The receive is posted before the message arrives, so the match happens
+// on the sender's side: the too-small buffer must fail the receiver's
+// request (its wait() throws) instead of leaving it pending forever.
+TEST(ThreadComm, TooSmallPostedReceiveFailsTheReceiver) {
+  ThreadWorld world(2);
+  std::promise<void> posted;
+  std::shared_future<void> posted_future = posted.get_future().share();
+  bool sender_returned = false;
+  EXPECT_THROW(world.run([&](ThreadComm& c) {
+    if (c.rank() == 0) {
+      posted_future.wait();
+      std::vector<int> big(16);
+      c.send(bytes_of(big), 1, 0);
+      sender_returned = true;
+    } else {
+      std::vector<int> tiny(1);
+      Request r = c.irecv(writable_bytes_of(tiny), 0, 0);
+      posted.set_value();
+      c.wait(r);
+    }
+  }),
+               gpawfd::Error);
+  EXPECT_TRUE(sender_returned);  // the eager send itself completes
 }
 
 TEST(ThreadWorld, ExceptionInRankFunctionPropagates) {

@@ -83,7 +83,9 @@ TEST(scenario_acceptance, SloGradingSurfacesObservedValueAndMargin) {
     // Every graded assertion carries the measured value and its signed
     // headroom; a passing assertion never has negative margin.
     EXPECT_TRUE(a.detail.empty()) << a.slo.metric << ": " << a.detail;
-    if (a.passed) EXPECT_GE(a.margin, 0.0) << a.slo.metric;
+    if (a.passed) {
+      EXPECT_GE(a.margin, 0.0) << a.slo.metric;
+    }
     // margin semantics: headroom to the bound, per the operator.
     switch (a.slo.op) {
       case SloParams::Op::kLe:
